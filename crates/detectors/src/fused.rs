@@ -1013,7 +1013,7 @@ pub struct FusedUnit {
     /// Output column (the configuration's `index`) of each lane.
     pub columns: Vec<usize>,
     /// Estimated cost in ns/point for the whole unit, seeded from the
-    /// measured per-family table in `results/BENCH_serving.json`. The
+    /// measured per-configuration table in `seed_cost_ns`. The
     /// extraction layer's cost-balanced shard planner starts from this and
     /// replaces it with live measurements.
     pub seed_cost_ns: f64,
@@ -1048,37 +1048,40 @@ fn fuse_key(spec: &DetectorSpec) -> Option<FuseKey> {
     }
 }
 
-/// Seed cost estimate in ns/point for one configuration, from the measured
-/// per-family scalar breakdown (`results/BENCH_serving.json`, hourly
-/// reference box). Only *relative* magnitudes matter — the shard planner
-/// rebalances from live measurements — so coarse numbers are fine.
+/// Seed cost estimate in ns/point for one configuration. Measured by
+/// timing each family's fused units alone (plain and robust TSD and
+/// historical lanes apart) over the PV and #SR presets at a 5-minute
+/// interval, best of 3 passes, divided by the family's configuration count
+/// and averaged over the two KPIs (2-vCPU Intel Xeon VM). Only *relative*
+/// magnitudes matter — the shard planner rebalances from live measurements
+/// after its first few thousand points — so coarse numbers are fine.
 fn seed_cost_ns(cfg: &ConfiguredDetector) -> f64 {
     match cfg.spec {
-        DetectorSpec::SimpleThreshold => 17.0,
-        DetectorSpec::Diff { .. } => 11.0,
-        DetectorSpec::SimpleMa { .. } => 12.0,
-        DetectorSpec::WeightedMa { .. } => 63.0,
-        DetectorSpec::MaOfDiff { .. } => 10.0,
-        DetectorSpec::Ewma { .. } => 9.0,
+        DetectorSpec::SimpleThreshold => 10.0,
+        DetectorSpec::Diff { .. } => 7.0,
+        DetectorSpec::SimpleMa { .. } => 8.0,
+        DetectorSpec::WeightedMa { .. } => 78.0,
+        DetectorSpec::MaOfDiff { .. } => 3.5,
+        DetectorSpec::Ewma { .. } => 3.5,
         DetectorSpec::Tsd { robust, .. } => {
             if robust {
-                94.0
+                270.0
             } else {
-                107.0
+                87.0
             }
         }
         DetectorSpec::Historical { robust, .. } => {
             if robust {
-                87.0
+                185.0
             } else {
-                63.0
+                52.0
             }
         }
-        DetectorSpec::HoltWinters { .. } => 7.5,
+        DetectorSpec::HoltWinters { .. } => 4.0,
         DetectorSpec::Opaque => match cfg.detector.name() {
-            "SVD" => 216.0,
-            "wavelet" => 232.0,
-            "ARIMA" => 2278.0,
+            "SVD" => 166.0,
+            "wavelet" => 207.0,
+            "ARIMA" => 530.0,
             _ => 100.0,
         },
     }

@@ -16,6 +16,10 @@
 //! O(c²·r) rebuild), with a periodic full rebuild to re-anchor rounding
 //! drift. The exact Jacobi SVD lives in `opprentice_numeric::svd` and
 //! anchors this approximation in tests.
+//!
+//! The kernel is generic over the column count (2..=8): the Gram matrix and
+//! every per-column vector are stack arrays of that width, so the O(c²)
+//! loops unroll. [`SvdDetector`] picks the instance at construction.
 
 use crate::Detector;
 
@@ -27,26 +31,27 @@ const POWER_STEPS: usize = 4;
 /// amortized rebuild cost at this cadence is negligible.
 const GRAM_REFRESH: usize = 64;
 
+/// Largest supported column count.
+const MAX_COLS: usize = 8;
+
 /// The SVD reconstruction-residual detector.
 #[derive(Debug, Clone)]
 pub struct SvdDetector {
     rows: usize,
     cols: usize,
-    /// Ring buffer of window contents. Grows to `rows × cols` during
-    /// warm-up, then stays fixed: the logical window (column-major, oldest
-    /// first) starts at `start` and wraps, so sliding is one overwrite
-    /// instead of a memmove.
-    flat: Vec<f64>,
-    /// Ring offset: physical index of the logically oldest entry.
-    start: usize,
-    /// Warm-start for the dominant right singular vector.
-    v: Vec<f64>,
-    /// Gram matrix (`cols × cols`), maintained incrementally across slides.
-    gram: Vec<f64>,
-    /// Power-iteration vector scratch.
-    v_next: Vec<f64>,
-    /// Slides since `gram` was last rebuilt from `flat`.
-    gram_age: usize,
+    kernel: Kernel,
+}
+
+/// One [`LagKernel`] instance per supported column count.
+#[derive(Debug, Clone)]
+enum Kernel {
+    C2(LagKernel<2>),
+    C3(LagKernel<3>),
+    C4(LagKernel<4>),
+    C5(LagKernel<5>),
+    C6(LagKernel<6>),
+    C7(LagKernel<7>),
+    C8(LagKernel<8>),
 }
 
 impl SvdDetector {
@@ -54,17 +59,54 @@ impl SvdDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `rows < 2` or `cols < 2`.
+    /// Panics if `rows < 2`, `cols < 2` or `cols > 8`.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 2 && cols >= 2, "lag matrix must be at least 2x2");
+        assert!(
+            cols <= MAX_COLS,
+            "lag matrix has at most {MAX_COLS} columns, got {cols}"
+        );
+        let kernel = match cols {
+            2 => Kernel::C2(LagKernel::new(rows)),
+            3 => Kernel::C3(LagKernel::new(rows)),
+            4 => Kernel::C4(LagKernel::new(rows)),
+            5 => Kernel::C5(LagKernel::new(rows)),
+            6 => Kernel::C6(LagKernel::new(rows)),
+            7 => Kernel::C7(LagKernel::new(rows)),
+            8 => Kernel::C8(LagKernel::new(rows)),
+            _ => unreachable!("column count checked above"),
+        };
+        Self { rows, cols, kernel }
+    }
+}
+
+/// The lag-matrix state and residual computation for `C` columns.
+#[derive(Debug, Clone)]
+struct LagKernel<const C: usize> {
+    rows: usize,
+    /// Ring buffer of window contents. Grows to `rows × C` during warm-up,
+    /// then stays fixed: the logical window (column-major, oldest first)
+    /// starts at `start` and wraps, so sliding is one overwrite instead of
+    /// a memmove.
+    flat: Vec<f64>,
+    /// Ring offset: physical index of the logically oldest entry.
+    start: usize,
+    /// Warm-start for the dominant right singular vector.
+    v: [f64; C],
+    /// Gram matrix `AᵀA`, maintained incrementally across slides.
+    gram: [[f64; C]; C],
+    /// Slides since `gram` was last rebuilt from `flat`.
+    gram_age: usize,
+}
+
+impl<const C: usize> LagKernel<C> {
+    fn new(rows: usize) -> Self {
         Self {
             rows,
-            cols,
-            flat: Vec::with_capacity(rows * cols),
+            flat: Vec::with_capacity(rows * C),
             start: 0,
-            v: vec![1.0 / (cols as f64).sqrt(); cols],
-            gram: vec![0.0; cols * cols],
-            v_next: vec![0.0; cols],
+            v: [1.0 / (C as f64).sqrt(); C],
+            gram: [[0.0; C]; C],
             gram_age: 0,
         }
     }
@@ -80,17 +122,31 @@ impl SvdDetector {
         self.flat[i]
     }
 
+    /// Feeds one present value; the residual once the window is full.
+    fn observe(&mut self, v: f64) -> Option<f64> {
+        if self.flat.len() < self.rows * C {
+            self.flat.push(v);
+            if self.flat.len() < self.rows * C {
+                return None;
+            }
+            self.rebuild_gram();
+        } else {
+            self.slide(v);
+        }
+        Some(self.rank1_residual())
+    }
+
     /// Rebuilds `G = AᵀA` from the window and resets the drift clock.
     fn rebuild_gram(&mut self) {
-        let (r, c) = (self.rows, self.cols);
-        for j1 in 0..c {
-            for j2 in j1..c {
+        let r = self.rows;
+        for j1 in 0..C {
+            for j2 in j1..C {
                 let mut dot = 0.0;
                 for i in 0..r {
                     dot += self.at(j1 * r + i) * self.at(j2 * r + i);
                 }
-                self.gram[j1 * c + j2] = dot;
-                self.gram[j2 * c + j1] = dot;
+                self.gram[j1][j2] = dot;
+                self.gram[j2][j1] = dot;
             }
         }
         self.gram_age = 0;
@@ -105,24 +161,21 @@ impl SvdDetector {
     /// and `ext(k)` is `v` at the one-past-the-end index, the logical
     /// window entry otherwise.
     fn slide(&mut self, v: f64) {
-        let (r, c) = (self.rows, self.cols);
-        let cap = r * c;
+        let r = self.rows;
+        let cap = r * C;
         if self.gram_age < GRAM_REFRESH {
             // Per column j: the entry leaving (logical j·r) and the entry
             // arriving from the next column's head (logical (j+1)·r, which
             // for the last column is the incoming value itself).
-            let mut leave = [0.0f64; 8];
-            let mut enter = [0.0f64; 8];
-            for j in 0..c {
-                leave[j] = self.at(j * r);
-                enter[j] = if j + 1 == c { v } else { self.at((j + 1) * r) };
-            }
-            for j1 in 0..c {
-                for j2 in j1..c {
+            let leave: [f64; C] = std::array::from_fn(|j| self.at(j * r));
+            let enter: [f64; C] =
+                std::array::from_fn(|j| if j + 1 == C { v } else { self.at((j + 1) * r) });
+            for j1 in 0..C {
+                for j2 in j1..C {
                     let delta = enter[j1] * enter[j2] - leave[j1] * leave[j2];
-                    self.gram[j1 * c + j2] += delta;
+                    self.gram[j1][j2] += delta;
                     if j1 != j2 {
-                        self.gram[j2 * c + j1] += delta;
+                        self.gram[j2][j1] += delta;
                     }
                 }
             }
@@ -143,38 +196,37 @@ impl SvdDetector {
 
     /// Residual of the newest entry against the rank-1 approximation.
     /// Assumes `flat` and `gram` are current.
-    #[allow(clippy::needless_range_loop)] // explicit indices keep the algebra readable
     fn rank1_residual(&mut self) -> f64 {
-        let (r, c) = (self.rows, self.cols);
+        let r = self.rows;
 
         // Power iteration on G, warm-started from the previous v. On a
         // stationary stretch the warm start is already the fixed point, so
         // bail out as soon as an iteration stops moving v — regime changes
         // still get the full step budget.
         for _ in 0..POWER_STEPS {
-            for (j1, n) in self.v_next.iter_mut().enumerate() {
+            let mut next: [f64; C] = std::array::from_fn(|j1| {
                 let mut acc = 0.0;
-                for j2 in 0..c {
-                    acc += self.gram[j1 * c + j2] * self.v[j2];
+                for j2 in 0..C {
+                    acc += self.gram[j1][j2] * self.v[j2];
                 }
-                *n = acc;
-            }
-            let norm = self.v_next.iter().map(|x| x * x).sum::<f64>().sqrt();
+                acc
+            });
+            let norm = next.iter().map(|x| x * x).sum::<f64>().sqrt();
             if norm < 1e-300 {
                 // Degenerate (all-zero) window: fall back to uniform.
-                self.v_next.fill(1.0 / (c as f64).sqrt());
+                next = [1.0 / (C as f64).sqrt(); C];
             } else {
-                for x in &mut self.v_next {
+                for x in &mut next {
                     *x /= norm;
                 }
             }
             let moved = self
                 .v
                 .iter()
-                .zip(&self.v_next)
+                .zip(&next)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f64, f64::max);
-            std::mem::swap(&mut self.v, &mut self.v_next);
+            self.v = next;
             if moved < 1e-12 {
                 break;
             }
@@ -182,28 +234,26 @@ impl SvdDetector {
 
         // u σ = A v; the rank-1 approximation of entry (i, j) is (Av)_i v_j.
         let mut av_last = 0.0; // (A v) at the last row
-        for j in 0..c {
+        for j in 0..C {
             av_last += self.at(j * r + r - 1) * self.v[j];
         }
-        let approx = av_last * self.v[c - 1];
-        (self.at(c * r - 1) - approx).abs()
+        let approx = av_last * self.v[C - 1];
+        (self.at(C * r - 1) - approx).abs()
     }
 }
 
 impl Detector for SvdDetector {
     fn observe(&mut self, _timestamp: i64, value: Option<f64>) -> Option<f64> {
         let v = value?;
-        let cap = self.rows * self.cols;
-        if self.flat.len() < cap {
-            self.flat.push(v);
-            if self.flat.len() < cap {
-                return None;
-            }
-            self.rebuild_gram();
-        } else {
-            self.slide(v);
+        match &mut self.kernel {
+            Kernel::C2(k) => k.observe(v),
+            Kernel::C3(k) => k.observe(v),
+            Kernel::C4(k) => k.observe(v),
+            Kernel::C5(k) => k.observe(v),
+            Kernel::C6(k) => k.observe(v),
+            Kernel::C7(k) => k.observe(v),
+            Kernel::C8(k) => k.observe(v),
         }
-        Some(self.rank1_residual())
     }
 
     fn clone_box(&self) -> Box<dyn Detector> {
@@ -256,33 +306,36 @@ mod tests {
 
     #[test]
     fn power_iteration_matches_jacobi_rank1_residual() {
-        // Compare against the exact SVD on the same lag matrix.
-        let (rows, cols) = (6, 3);
-        let vals: Vec<f64> = (0..rows * cols)
-            .map(|i| 10.0 + ((i % rows) as f64) + 0.1 * ((i * 7 % 13) as f64))
-            .collect();
-        let mut d = SvdDetector::new(rows, cols);
-        let mut approx = None;
-        for (i, &v) in vals.iter().enumerate() {
-            approx = d.observe(i as i64, Some(v));
-        }
-        let approx = approx.unwrap();
+        // Compare against the exact SVD on the same lag matrix, for every
+        // supported column count.
+        for cols in 2..=MAX_COLS {
+            let rows = 6;
+            let vals: Vec<f64> = (0..rows * cols)
+                .map(|i| 10.0 + ((i % rows) as f64) + 0.1 * ((i * 7 % 13) as f64))
+                .collect();
+            let mut d = SvdDetector::new(rows, cols);
+            let mut approx = None;
+            for (i, &v) in vals.iter().enumerate() {
+                approx = d.observe(i as i64, Some(v));
+            }
+            let approx = approx.unwrap();
 
-        let mat = Matrix::from_rows(
-            rows,
-            cols,
-            // Column-major window -> row-major matrix.
-            (0..rows * cols)
-                .map(|k| vals[(k % cols) * rows + k / cols])
-                .collect(),
-        );
-        let dec = jacobi_svd(&mat);
-        let rec = dec.reconstruct(1);
-        let exact = (mat.get(rows - 1, cols - 1) - rec.get(rows - 1, cols - 1)).abs();
-        assert!(
-            (approx - exact).abs() < 0.05 * exact.max(0.1),
-            "power-iter {approx} vs jacobi {exact}"
-        );
+            let mat = Matrix::from_rows(
+                rows,
+                cols,
+                // Column-major window -> row-major matrix.
+                (0..rows * cols)
+                    .map(|k| vals[(k % cols) * rows + k / cols])
+                    .collect(),
+            );
+            let dec = jacobi_svd(&mat);
+            let rec = dec.reconstruct(1);
+            let exact = (mat.get(rows - 1, cols - 1) - rec.get(rows - 1, cols - 1)).abs();
+            assert!(
+                (approx - exact).abs() < 0.05 * exact.max(0.1),
+                "cols={cols}: power-iter {approx} vs jacobi {exact}"
+            );
+        }
     }
 
     #[test]
@@ -307,5 +360,17 @@ mod tests {
     #[should_panic(expected = "at least 2x2")]
     fn tiny_matrix_rejected() {
         let _ = SvdDetector::new(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 columns, got 9")]
+    fn wide_matrix_rejected() {
+        let _ = SvdDetector::new(10, 9);
+    }
+
+    #[test]
+    fn config_label_names_rows_and_columns() {
+        assert_eq!(SvdDetector::new(10, 3).config(), "row=10,column=3");
+        assert_eq!(SvdDetector::new(50, 8).config(), "row=50,column=8");
     }
 }

@@ -10,6 +10,10 @@
 //! order statistics), maintained lazily: pushes go to pending lists and are
 //! merged into the sorted array only when a query needs it, in
 //! `O(n + k log k)` for `k` pending updates and no steady-state allocation.
+//! Once the pending churn reaches the size of the sorted view, the pending
+//! lists are dropped and the next order-statistic query rebuilds the view
+//! from the ring, so a window that is only ever asked for moments (or
+//! `max_abs`) holds `O(cap)` memory no matter how long it runs.
 //!
 //! Every query is **bit-identical** to the naive recompute it replaces:
 //!
@@ -22,12 +26,13 @@
 //!   unaffected),
 //! * [`SortedWindow::mad`] returns exactly `stats::mad(&collected)` — the
 //!   deviations `|x − median|` over sorted data form two monotone runs
-//!   (decreasing left of the median, increasing right of it), so their
-//!   median is found by a two-pointer merge walk without materializing or
-//!   sorting the deviation vector,
+//!   (increasing leftwards from the median, and rightwards from it), so
+//!   the middle deviations are found by an `O(log n)` selection over the
+//!   two runs without materializing or sorting the deviation vector,
 //! * [`SortedWindow::max_abs`] equals
-//!   `collected.iter().map(|x| x.abs()).fold(0.0, f64::max)` — on sorted
-//!   data the maximum magnitude sits at one of the two ends,
+//!   `collected.iter().map(|x| x.abs()).fold(0.0, f64::max)` — on a merged
+//!   sorted view the maximum magnitude sits at one of the two ends; on a
+//!   stale view the ring is scanned instead of forcing a merge,
 //! * [`SortedWindow::mean`] / [`SortedWindow::std_dev`] iterate the ring in
 //!   arrival order, reproducing `stats::mean` / `stats::std_dev` on the
 //!   collected window term for term (float addition is order-sensitive, so
@@ -53,6 +58,10 @@ pub struct SortedWindow {
     pending_add: Vec<f64>,
     /// Values evicted since the last merge.
     pending_remove: Vec<f64>,
+    /// Set once the pending churn reaches the size of the sorted view: the
+    /// pending lists are dropped, and the next query that needs the sorted
+    /// view rebuilds it from the ring.
+    rebuild: bool,
     /// Reused merge output buffer.
     merge_buf: Vec<f64>,
 }
@@ -93,10 +102,23 @@ impl SortedWindow {
     pub fn push(&mut self, v: f64) {
         debug_assert!(!v.is_nan(), "NaN pushed into SortedWindow");
         self.ring.push_back(v);
+        let evicted = if self.ring.len() > self.cap {
+            self.ring.pop_front()
+        } else {
+            None
+        };
+        if self.rebuild {
+            return;
+        }
         self.pending_add.push(v);
-        if self.ring.len() > self.cap {
-            let old = self.ring.pop_front().expect("non-empty after push");
-            self.pending_remove.push(old);
+        self.pending_remove.extend(evicted);
+        // As much churn as content: a rebuild from the ring beats the
+        // merge, and dropping the lists keeps memory bounded for windows
+        // that are never asked for an order statistic.
+        if self.pending_add.len() + self.pending_remove.len() >= self.sorted.len() {
+            self.pending_add.clear();
+            self.pending_remove.clear();
+            self.rebuild = true;
         }
     }
 
@@ -122,20 +144,18 @@ impl SortedWindow {
         Some(var.sqrt())
     }
 
-    /// Merges pending pushes/evictions into the sorted view.
+    /// Brings the sorted view up to date: rebuilds it from the ring, or
+    /// merges the pending pushes/evictions into it.
     fn ensure_sorted(&mut self) {
-        if self.pending_add.is_empty() && self.pending_remove.is_empty() {
-            return;
-        }
-        let pending = self.pending_add.len() + self.pending_remove.len();
-        if pending >= self.sorted.len() {
-            // More churn than content: rebuild from the ring outright.
+        if self.rebuild {
             self.sorted.clear();
             self.sorted.extend(self.ring.iter().copied());
             self.sorted
                 .sort_by(|a, b| a.partial_cmp(b).expect("NaN in SortedWindow"));
-            self.pending_add.clear();
-            self.pending_remove.clear();
+            self.rebuild = false;
+            return;
+        }
+        if self.is_merged() {
             return;
         }
 
@@ -199,6 +219,11 @@ impl SortedWindow {
         self.pending_remove.clear();
     }
 
+    /// `true` when the sorted view reflects every push.
+    fn is_merged(&self) -> bool {
+        !self.rebuild && self.pending_add.is_empty() && self.pending_remove.is_empty()
+    }
+
     /// Median; `None` when empty. Bit-identical to `stats::median` over the
     /// collected window.
     pub fn median(&mut self) -> Option<f64> {
@@ -217,70 +242,82 @@ impl SortedWindow {
     /// Median absolute deviation × 1.4826 (the Gaussian-consistent scale);
     /// `None` when empty. Bit-identical to `stats::mad` over the collected
     /// window, computed allocation-free: over sorted values the deviations
-    /// `|x − median|` form a decreasing run (left of the median) and an
-    /// increasing run (right of it), so the deviation median falls out of a
-    /// two-pointer merge walk.
+    /// `|x − median|` form one run growing leftwards from the median and one
+    /// growing rightwards, so the middle deviations are a selection over two
+    /// sorted runs, found in `O(log n)`.
     pub fn mad(&mut self) -> Option<f64> {
         let med = self.median()?;
         let s = &self.sorted;
         let n = s.len();
         let split = s.partition_point(|&x| x < med);
-
-        let (target_lo, target_hi) = ((n - 1) / 2, n / 2);
-        let (mut lo, mut hi) = (split, split);
-        let (mut dev_lo, mut dev_hi) = (0.0, 0.0);
-        for idx in 0..=target_hi {
-            // Next-smallest deviation from either run. `(x − med).abs()` on
-            // both sides to stay bit-faithful to the naive deviation vector.
-            let d = match (lo > 0, hi < n) {
-                (true, true) => {
-                    let l = (s[lo - 1] - med).abs();
-                    let r = (s[hi] - med).abs();
-                    if l <= r {
-                        lo -= 1;
-                        l
-                    } else {
-                        hi += 1;
-                        r
-                    }
-                }
-                (true, false) => {
-                    lo -= 1;
-                    (s[lo] - med).abs()
-                }
-                (false, true) => {
-                    let r = (s[hi] - med).abs();
-                    hi += 1;
-                    r
-                }
-                (false, false) => unreachable!("ran out of deviations"),
-            };
-            if idx == target_lo {
-                dev_lo = d;
-            }
-            if idx == target_hi {
-                dev_hi = d;
-            }
-        }
+        // `(x − med).abs()` on both sides, to stay bit-faithful to the
+        // naive deviation vector.
+        let left = |i: usize| (s[split - 1 - i] - med).abs();
+        let right = |j: usize| (s[split + j] - med).abs();
+        let (dev_lo, dev_hi) = select_pair(left, split, right, n - split, (n - 1) / 2);
         let raw = if n % 2 == 1 {
-            dev_hi
+            dev_lo
         } else {
-            (dev_lo + dev_hi) / 2.0
+            (dev_lo + dev_hi.expect("even window has two middles")) / 2.0
         };
         Some(raw * 1.4826)
     }
 
     /// Maximum magnitude, 0.0 when empty. Bit-identical to
-    /// `window.iter().map(|x| x.abs()).fold(0.0, f64::max)`.
-    pub fn max_abs(&mut self) -> f64 {
+    /// `window.iter().map(|x| x.abs()).fold(0.0, f64::max)`. Reads the ends
+    /// of a merged sorted view; scans the ring rather than merging a stale
+    /// one.
+    pub fn max_abs(&self) -> f64 {
         if self.ring.is_empty() {
             return 0.0;
         }
-        self.ensure_sorted();
+        if !self.is_merged() {
+            return self.ring.iter().map(|x| x.abs()).fold(0.0, f64::max);
+        }
         let first = self.sorted[0].abs();
         let last = self.sorted[self.sorted.len() - 1].abs();
         first.max(last)
     }
+}
+
+/// The `k`-th smallest (0-based) element of the union of two
+/// non-decreasing runs `a(0..m)` and `b(0..p)`, and the element after it
+/// (`None` when `k` is the last). Binary search on how many of the `k + 1`
+/// smallest come from `a`; `O(log min(m, p))` probes of each run.
+fn select_pair(
+    a: impl Fn(usize) -> f64,
+    m: usize,
+    b: impl Fn(usize) -> f64,
+    p: usize,
+    k: usize,
+) -> (f64, Option<f64>) {
+    debug_assert!(k < m + p, "selection past the end");
+    let t = k + 1;
+    // Take `i` from `a` and `t − i` from `b`; the split is right once no
+    // taken `b` exceeds the first untaken `a` and vice versa.
+    let (mut lo, mut hi) = (t.saturating_sub(p), t.min(m));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if b(t - i - 1) > a(i) {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    let (i, j) = (lo, t - lo);
+    let kth = match (i > 0, j > 0) {
+        (true, true) => a(i - 1).max(b(j - 1)),
+        (true, false) => a(i - 1),
+        (false, true) => b(j - 1),
+        (false, false) => unreachable!("t >= 1 elements taken"),
+    };
+    let next = match (i < m, j < p) {
+        (true, true) => Some(a(i).min(b(j))),
+        (true, false) => Some(a(i)),
+        (false, true) => Some(b(j)),
+        (false, false) => None,
+    };
+    (kth, next)
 }
 
 #[cfg(test)]
@@ -306,6 +343,49 @@ mod tests {
         w.iter().collect()
     }
 
+    /// Checks every query against its `stats` counterpart on the collected
+    /// window. `max_abs` runs first, on the view as the pushes left it
+    /// (stale after any push), and again once the order-statistic queries
+    /// have merged it. With `signed_zeros`, the median is compared after
+    /// `+ 0.0`: the window may legitimately hold the other zero
+    /// representative on its middle index (see the module docs).
+    fn assert_matches_stats(w: &mut SortedWindow, signed_zeros: bool, ctx: &str) {
+        let xs = collected(w);
+        assert_eq!(w.len(), xs.len());
+        let naive_max_abs = xs.iter().map(|x| x.abs()).fold(0.0, f64::max);
+        assert_eq!(
+            w.max_abs().to_bits(),
+            naive_max_abs.to_bits(),
+            "stale max_abs {ctx}"
+        );
+        let zero_norm = |m: Option<f64>| m.map(|m| if signed_zeros { m + 0.0 } else { m });
+        assert_eq!(
+            zero_norm(w.median()).map(f64::to_bits),
+            zero_norm(stats::median(&xs)).map(f64::to_bits),
+            "median {ctx}"
+        );
+        assert_eq!(
+            w.mad().map(f64::to_bits),
+            stats::mad(&xs).map(f64::to_bits),
+            "mad {ctx}"
+        );
+        assert_eq!(
+            w.mean().map(f64::to_bits),
+            stats::mean(&xs).map(f64::to_bits),
+            "mean {ctx}"
+        );
+        assert_eq!(
+            w.std_dev().map(f64::to_bits),
+            stats::std_dev(&xs).map(f64::to_bits),
+            "std_dev {ctx}"
+        );
+        assert_eq!(
+            w.max_abs().to_bits(),
+            naive_max_abs.to_bits(),
+            "merged max_abs {ctx}"
+        );
+    }
+
     #[test]
     fn matches_stats_functions_bit_for_bit_under_churn() {
         for cap in [1usize, 2, 3, 7, 64] {
@@ -315,33 +395,61 @@ mod tests {
                 // Query at irregular strides so pushes batch up between
                 // merges (the lazy path) and also back-to-back (k = 1).
                 if i % 5 == 0 || i % 7 == 0 {
-                    let xs = collected(&w);
-                    assert_eq!(w.len(), xs.len());
-                    assert_eq!(
-                        w.median().map(f64::to_bits),
-                        stats::median(&xs).map(f64::to_bits),
-                        "median cap={cap} i={i}"
-                    );
-                    assert_eq!(
-                        w.mad().map(f64::to_bits),
-                        stats::mad(&xs).map(f64::to_bits),
-                        "mad cap={cap} i={i}"
-                    );
-                    assert_eq!(
-                        w.mean().map(f64::to_bits),
-                        stats::mean(&xs).map(f64::to_bits),
-                        "mean cap={cap} i={i}"
-                    );
-                    assert_eq!(
-                        w.std_dev().map(f64::to_bits),
-                        stats::std_dev(&xs).map(f64::to_bits),
-                        "std_dev cap={cap} i={i}"
-                    );
-                    let naive = xs.iter().map(|x| x.abs()).fold(0.0, f64::max);
-                    assert_eq!(w.max_abs().to_bits(), naive.to_bits(), "max_abs");
+                    assert_matches_stats(&mut w, false, &format!("cap={cap} i={i}"));
                 }
             }
         }
+        // The detectors' spread windows: 2016 values refreshed every 64
+        // pushes, over odd and even window lengths (warm-up lengths
+        // `off + 1 + 64k`, then the cap), with exact duplicates and both
+        // zero representatives in the stream.
+        let stream: Vec<f64> = pseudo_stream(6000)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 13 {
+                0 => 0.0,
+                6 => -0.0,
+                _ => v,
+            })
+            .collect();
+        for cap in [2015usize, 2016] {
+            for off in [0usize, 1] {
+                let mut w = SortedWindow::new(cap);
+                for (i, &v) in stream.iter().enumerate() {
+                    w.push(v);
+                    if i % 64 == off {
+                        assert_matches_stats(&mut w, true, &format!("cap={cap} off={off} i={i}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn moment_only_windows_stay_bounded() {
+        // Windows asked only for moments never merge; their pending lists
+        // must not grow with the number of pushes.
+        let mut w = SortedWindow::new(5);
+        let stream = pseudo_stream(100_000);
+        for (i, &v) in stream.iter().enumerate() {
+            w.push(v);
+            let _ = (w.mean(), w.std_dev());
+            if i == 50_000 {
+                // One merge midway: the sorted view is now full-size.
+                let _ = w.median();
+            }
+            assert!(w.ring.len() <= 5);
+            assert!(w.sorted.len() <= 5);
+            assert!(
+                w.pending_add.len() + w.pending_remove.len() <= 5,
+                "pending at i={i}"
+            );
+        }
+        assert!(w.pending_add.capacity() <= 16 && w.pending_remove.capacity() <= 16);
+        // The dropped churn is recovered from the ring on the next query.
+        let xs = collected(&w);
+        assert_eq!(w.median(), stats::median(&xs));
+        assert_eq!(w.mad(), stats::mad(&xs));
     }
 
     #[test]
