@@ -322,8 +322,8 @@ fn main() {
         extract_stream_pps = extract_stream_pps.max(pps);
     }
 
-    // Batched: `observe_batch` runs the fused family kernels,
-    // cost-balanced across the worker pool — the OBSB / history-replay
+    // Batched: `observe_batch` runs the fused family kernels, split
+    // across per-batch threads — the OBSB / history-replay
     // shape. The best pass also donates its live per-family kernel
     // timings (the fused *after* of the attribution table).
     let mut extract_pps = 0.0f64;
@@ -348,7 +348,7 @@ fn main() {
     }
     eprintln!(
         "[extract] streaming {extract_stream_pps:.0} pts/s, batched {extract_pps:.0} pts/s \
-         ({:.2}x, 133 detectors, batch of {EXTRACT_BATCH}, {n_shards} shards, \
+         ({:.2}x, 133 detectors, batch of {EXTRACT_BATCH}, {n_shards} threads, \
          best of {EXTRACT_PASSES})",
         extract_pps / extract_stream_pps,
     );

@@ -12,16 +12,15 @@
 //! The configurations are grouped into *fused units*
 //! ([`opprentice_detectors::fused::plan`]): one structure-of-arrays kernel
 //! per detector family that advances all of the family's parameter
-//! configurations per point (bit-identical to the per-config scalar path).
-//! Units are assigned to worker shards by a **cost model** — longest-
-//! processing-time greedy over each unit's estimated ns/point, seeded from
-//! offline measurements and replaced by live per-unit timings as batches
-//! flow — so one slow family (ARIMA, SVD) does not serialize the batch
-//! behind a shard full of cheap lanes. Placement is pure scheduling:
-//! every unit's state advances sequentially wherever it runs, so shard
-//! count, shard assignment and rebalancing never change a single output
-//! bit. The worker-pool width honours the process-wide
-//! `OPPRENTICE_THREADS` knob
+//! configurations per point (bit-identical to the per-config scalar path),
+//! plus one scalar unit per SVD, wavelet or ARIMA scheduling group. A
+//! batch is split across threads that live for that batch only: each
+//! thread pulls the next unit from a shared queue and runs it over the
+//! whole batch, so one slow unit (ARIMA, a TSD window set) occupies one
+//! thread while the others drain the rest — no cost model. Every unit's
+//! state advances sequentially wherever it runs, so the thread count and
+//! which thread ran which unit never change a single output bit. The
+//! thread count honours the process-wide `OPPRENTICE_THREADS` knob
 //! ([`opprentice_numeric::parallel::configured_threads`]).
 
 use opprentice_detectors::fused::{plan, FusedUnit};
@@ -30,9 +29,7 @@ use opprentice_detectors::registry::ConfiguredDetector;
 use opprentice_learn::Dataset;
 use opprentice_numeric::parallel::configured_threads;
 use opprentice_timeseries::{Labels, TimeSeries};
-use std::panic::AssertUnwindSafe;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The per-point severities of every detector configuration.
@@ -187,9 +184,9 @@ impl FeatureMatrix {
 }
 
 /// Runs every given configuration over the whole series and assembles the
-/// feature matrix, using the fused kernels and the cost-balanced worker
-/// pool (the offline face of [`OnlineExtractor`]; outputs are
-/// bit-identical to streaming extraction).
+/// feature matrix, using the fused kernels and per-batch threads (the
+/// offline face of [`OnlineExtractor`]; outputs are bit-identical to
+/// streaming extraction).
 ///
 /// Columns are written at each configuration's `index`, so `configs` must
 /// carry dense indices `0..configs.len()` (the registry's natural shape)
@@ -212,8 +209,9 @@ pub fn extract_with(configs: Vec<ConfiguredDetector>, series: &TimeSeries) -> Fe
     matrix
 }
 
-/// Chunk size for offline extraction — large enough to amortize worker
-/// hand-off, small enough to keep every shard's block in cache.
+/// Chunk size for offline extraction — large enough to amortize the
+/// per-batch thread start, small enough to keep every unit's block in
+/// cache.
 const OFFLINE_CHUNK: usize = 512;
 
 /// Runs the full Table 3 registry (133 configurations) over the series.
@@ -221,160 +219,33 @@ pub fn extract_features(series: &TimeSeries) -> FeatureMatrix {
     extract_with(registry(series.interval()), series)
 }
 
-/// Batches below this size are extracted inline — worker hand-off costs
+/// Batches below this size are extracted inline — starting threads costs
 /// more than it buys on a handful of points.
 const MIN_PARALLEL_BATCH: usize = 4;
 
-/// Live measurements below this many points fall back to the seed cost —
-/// a couple of cold batches are dominated by cache warm-up.
-const MIN_MEASURED_POINTS: u64 = 1024;
-
-/// Shards are re-packed from live unit timings every this many points.
-const REBALANCE_POINTS: u64 = 4096;
-
-/// One fused kernel plus its output columns and cost accounting.
+/// One fused kernel plus its per-batch output and its timing.
 struct Unit {
     inner: FusedUnit,
-    /// Live timing: total kernel nanoseconds over `measured_pts` points.
-    measured_ns: u64,
-    measured_pts: u64,
+    /// The current batch's output, row-major (`out[i * k + j]` for lane
+    /// `j` of point `i`, `k` lanes).
+    out: Vec<Option<f64>>,
+    /// Kernel nanoseconds over `points` batched points.
+    nanos: u64,
+    points: u64,
 }
 
 impl Unit {
-    /// Estimated ns/point: live measurement once warm, seed cost before.
-    fn cost_estimate(&self) -> f64 {
-        if self.measured_pts >= MIN_MEASURED_POINTS {
-            self.measured_ns as f64 / self.measured_pts as f64
-        } else {
-            self.inner.seed_cost_ns
-        }
-    }
-}
-
-/// One worker's set of fused units plus its per-batch output.
-///
-/// Owned — a shard travels *through* the job channel to whichever worker
-/// picks it up and comes back with the batch output, so no lock is ever
-/// held on detector state.
-struct Shard {
-    units: Vec<Unit>,
-    /// Per-unit output blocks for the current batch, concatenated: unit
-    /// `u` with `k` lanes occupies `k × batch_len` slots, row-major
-    /// (`block[i * k + j]`).
-    out: Vec<Option<f64>>,
-}
-
-impl Shard {
-    /// Runs every unit over one batch, timing each kernel for the cost
-    /// model. Per-unit state advances sequentially, so results are
-    /// bit-identical to streaming regardless of which shard a unit is on.
+    /// Runs the kernel over one batch into `out`, already sized for it.
+    /// The unit's state advances sequentially whichever thread runs it, so
+    /// the output is bit-identical to streaming.
     fn run(&mut self, timestamps: &[i64], values: &[Option<f64>]) {
-        let n = timestamps.len();
-        let total: usize = self.units.iter().map(|u| u.inner.columns.len()).sum();
-        self.out.clear();
-        self.out.resize(total * n, None);
-        let mut offset = 0;
-        for unit in &mut self.units {
-            let k = unit.inner.columns.len();
-            let block = &mut self.out[offset * n..(offset + k) * n];
-            let t0 = Instant::now();
-            unit.inner.kernel.observe_batch(timestamps, values, block);
-            unit.measured_ns += t0.elapsed().as_nanos() as u64;
-            unit.measured_pts += n as u64;
-            offset += k;
-        }
+        let t0 = Instant::now();
+        self.inner
+            .kernel
+            .observe_batch(timestamps, values, &mut self.out);
+        self.nanos += t0.elapsed().as_nanos() as u64;
+        self.points += timestamps.len() as u64;
     }
-}
-
-/// A batch handed to the worker pool (shared read-only by all shards).
-struct BatchInput {
-    timestamps: Vec<i64>,
-    values: Vec<Option<f64>>,
-}
-
-/// A unit of pool work: the shard itself rides along (ownership transfer,
-/// no locking) together with the shared input.
-struct Job {
-    shard: Shard,
-    input: Arc<BatchInput>,
-}
-
-/// What comes back from a worker.
-enum Done {
-    Ok(Shard),
-    /// The worker caught a panic; the shard is lost.
-    Panicked,
-}
-
-/// A persistent pool of extraction workers. Threads live as long as the
-/// pool; dropping the pool closes the job channel and the workers exit.
-struct WorkerPool {
-    job_tx: mpsc::Sender<Job>,
-    done_rx: mpsc::Receiver<Done>,
-    _workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(n_workers: usize) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let job_rx = Arc::new(std::sync::Mutex::new(job_rx));
-        let workers = (0..n_workers)
-            .map(|i| {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("extract-{i}"))
-                    .spawn(move || loop {
-                        let job = match job_rx.lock().expect("job queue poisoned").recv() {
-                            Ok(job) => job,
-                            Err(_) => return, // pool dropped
-                        };
-                        let Job { mut shard, input } = job;
-                        let done = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                            shard.run(&input.timestamps, &input.values);
-                            shard
-                        }))
-                        .map_or(Done::Panicked, Done::Ok);
-                        if done_tx.send(done).is_err() {
-                            return;
-                        }
-                    })
-                    .expect("failed to spawn extraction worker")
-            })
-            .collect();
-        Self {
-            job_tx,
-            done_rx,
-            _workers: workers,
-        }
-    }
-}
-
-/// Longest-processing-time greedy: units in descending cost order, each to
-/// the currently lightest shard. Deterministic — ties break on the first
-/// output column, and the lightest shard on the lowest index — though
-/// placement can never affect extraction output, only wall-clock.
-fn lpt_assign(mut units: Vec<Unit>, n_shards: usize) -> Vec<Vec<Unit>> {
-    units.sort_by(|a, b| {
-        b.cost_estimate()
-            .partial_cmp(&a.cost_estimate())
-            .expect("finite costs")
-            .then(a.inner.columns[0].cmp(&b.inner.columns[0]))
-    });
-    let mut shards: Vec<Vec<Unit>> = (0..n_shards).map(|_| Vec::new()).collect();
-    let mut loads = vec![0.0f64; n_shards];
-    for unit in units {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by(|(ia, a), (ib, b)| a.partial_cmp(b).expect("finite").then(ia.cmp(ib)))
-            .map(|(i, _)| i)
-            .expect("at least one shard");
-        loads[lightest] += unit.cost_estimate();
-        shards[lightest].push(unit);
-    }
-    shards
 }
 
 /// Measured extraction cost of one detector family, aggregated over all of
@@ -397,23 +268,22 @@ pub struct FamilyStat {
 /// produce bit-identical severities).
 ///
 /// Internally the configurations run as fused family kernels
-/// ([`opprentice_detectors::fused`]), cost-balanced across a persistent
-/// worker pool for [`OnlineExtractor::observe_batch`]; per-unit state
+/// ([`opprentice_detectors::fused`]). [`OnlineExtractor::observe_batch`]
+/// spreads the units over threads that live for one batch; per-unit state
 /// always advances sequentially, so batched, streaming and offline
 /// extraction cannot diverge.
 pub struct OnlineExtractor {
-    shards: Vec<Shard>,
+    units: Vec<Unit>,
     labels: Vec<String>,
     n_features: usize,
+    /// Threads a batch is split across (the caller's included).
+    threads: usize,
     /// Single-point output row, by feature index.
     row: Vec<Option<f64>>,
     /// Widest unit's lane count — single-point scatter scratch.
     scratch: Vec<Option<f64>>,
     /// Batched output, row-major (`batch_len × n_features`).
     batch: Vec<Option<f64>>,
-    /// Lazily spawned on the first parallel batch.
-    pool: Option<WorkerPool>,
-    points_since_rebalance: u64,
 }
 
 impl OnlineExtractor {
@@ -469,8 +339,9 @@ impl OnlineExtractor {
             .into_iter()
             .map(|inner| Unit {
                 inner,
-                measured_ns: 0,
-                measured_pts: 0,
+                out: Vec::new(),
+                nanos: 0,
+                points: 0,
             })
             .collect();
         let scratch_width = units
@@ -478,24 +349,16 @@ impl OnlineExtractor {
             .map(|u| u.inner.columns.len())
             .max()
             .expect("non-empty plan");
-        let n_shards = configured_threads().min(units.len()).max(1);
-        let shards = lpt_assign(units, n_shards)
-            .into_iter()
-            .map(|units| Shard {
-                units,
-                out: Vec::new(),
-            })
-            .collect();
+        let threads = configured_threads().min(units.len());
 
         Self {
-            shards,
+            units,
             labels,
             n_features: m,
+            threads,
             row: vec![None; m],
             scratch: vec![None; scratch_width],
             batch: Vec::new(),
-            pool: None,
-            points_since_rebalance: 0,
         }
     }
 
@@ -509,9 +372,9 @@ impl OnlineExtractor {
         self.n_features
     }
 
-    /// Number of worker shards the units are balanced across.
+    /// Number of threads a batch is split across (the caller's included).
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.threads
     }
 
     /// Measured per-family extraction cost (batched path only), aggregated
@@ -519,67 +382,36 @@ impl OnlineExtractor {
     /// the serving benchmark's attribution and the STATUS breakdown.
     pub fn family_stats(&self) -> Vec<FamilyStat> {
         let mut stats: Vec<FamilyStat> = Vec::new();
-        for shard in &self.shards {
-            for unit in &shard.units {
-                let family = unit.inner.kernel.family();
-                match stats.iter_mut().find(|s| s.family == family) {
-                    Some(s) => {
-                        s.configs += unit.inner.columns.len();
-                        s.nanos += unit.measured_ns;
-                        // Units of one family can sit on different shards;
-                        // they all see every point, so the family's point
-                        // count is the max, not the sum.
-                        s.points = s.points.max(unit.measured_pts);
-                    }
-                    None => stats.push(FamilyStat {
-                        family,
-                        configs: unit.inner.columns.len(),
-                        points: unit.measured_pts,
-                        nanos: unit.measured_ns,
-                    }),
+        for unit in &self.units {
+            let family = unit.inner.kernel.family();
+            match stats.iter_mut().find(|s| s.family == family) {
+                // Every unit sees every batched point, so a family's
+                // point count is any one unit's.
+                Some(s) => {
+                    s.configs += unit.inner.columns.len();
+                    s.nanos += unit.nanos;
                 }
+                None => stats.push(FamilyStat {
+                    family,
+                    configs: unit.inner.columns.len(),
+                    points: unit.points,
+                    nanos: unit.nanos,
+                }),
             }
         }
         stats.sort_by_key(|s| s.family);
         stats
     }
 
-    /// Re-packs units onto shards from the live cost estimates. Called
-    /// automatically every [`REBALANCE_POINTS`] batched points; public so
-    /// benchmarks and tests can force it. Never changes extraction output
-    /// — placement is pure scheduling.
-    pub fn rebalance_now(&mut self) {
-        let n_shards = self.shards.len();
-        if n_shards < 2 {
-            return;
-        }
-        let mut units: Vec<Unit> = Vec::new();
-        for shard in &mut self.shards {
-            units.append(&mut shard.units);
-        }
-        // Deterministic input order for the (stable) LPT sort.
-        units.sort_by_key(|u| u.inner.columns[0]);
-        self.shards = lpt_assign(units, n_shards)
-            .into_iter()
-            .map(|units| Shard {
-                units,
-                out: Vec::new(),
-            })
-            .collect();
-        self.points_since_rebalance = 0;
-    }
-
     /// Feeds the next point to every detector, returning the severity row.
     pub fn observe(&mut self, timestamp: i64, value: Option<f64>) -> &[Option<f64>] {
-        for shard in &mut self.shards {
-            for unit in &mut shard.units {
-                let k = unit.inner.columns.len();
-                unit.inner
-                    .kernel
-                    .observe(timestamp, value, &mut self.scratch[..k]);
-                for (j, &c) in unit.inner.columns.iter().enumerate() {
-                    self.row[c] = self.scratch[j];
-                }
+        for unit in &mut self.units {
+            let k = unit.inner.columns.len();
+            unit.inner
+                .kernel
+                .observe(timestamp, value, &mut self.scratch[..k]);
+            for (j, &c) in unit.inner.columns.iter().enumerate() {
+                self.row[c] = self.scratch[j];
             }
         }
         &self.row
@@ -587,12 +419,19 @@ impl OnlineExtractor {
 
     /// Feeds a run of consecutive points to every detector, returning the
     /// severity rows row-major (`values.len() × n_features`). Severities
-    /// are bit-identical to calling [`OnlineExtractor::observe`] per point;
-    /// the shards just advance concurrently on the worker pool.
+    /// are bit-identical to calling [`OnlineExtractor::observe`] per point.
+    ///
+    /// Batches of 4 points or more (`MIN_PARALLEL_BATCH`) are split across
+    /// [`OnlineExtractor::n_shards`] threads: the caller plus scoped
+    /// workers that live for this batch only. Each thread pulls the next
+    /// unit from a shared queue and runs it over the whole batch, so the
+    /// units balance themselves without a cost model.
     ///
     /// # Panics
     ///
-    /// Panics if `timestamps` and `values` lengths differ or a worker dies.
+    /// Panics if `timestamps` and `values` lengths differ, or if a
+    /// detector panics (on whichever thread ran it); the extractor must
+    /// then be discarded.
     pub fn observe_batch(&mut self, timestamps: &[i64], values: &[Option<f64>]) -> &[Option<f64>] {
         assert_eq!(timestamps.len(), values.len(), "batch length mismatch");
         let n = timestamps.len();
@@ -603,57 +442,47 @@ impl OnlineExtractor {
             return &self.batch;
         }
 
-        if n < MIN_PARALLEL_BATCH || self.shards.len() < 2 {
-            for shard in &mut self.shards {
-                shard.run(timestamps, values);
+        // Output blocks are sized on the caller's thread, so they live in
+        // the session thread's allocator arena rather than a short-lived
+        // worker's. On `kpibench` backfill (2-vCPU VM) this held peak RSS
+        // at ~83 MB in 11 of 12 runs; sized on the workers it read 83 or
+        // 109 MB from run to run.
+        for unit in &mut self.units {
+            unit.out.clear();
+            unit.out.resize(unit.inner.columns.len() * n, None);
+        }
+        if n < MIN_PARALLEL_BATCH || self.threads < 2 {
+            for unit in &mut self.units {
+                unit.run(timestamps, values);
             }
         } else {
-            let pool = {
-                let n_workers = self.shards.len();
-                self.pool
-                    .get_or_insert_with(|| WorkerPool::spawn(n_workers))
+            let queue = Mutex::new(self.units.iter_mut());
+            let work = || loop {
+                // The guard drops at the end of this statement, so a
+                // panicking kernel never poisons the queue.
+                let next = queue.lock().expect("unit queue poisoned").next();
+                match next {
+                    Some(unit) => unit.run(timestamps, values),
+                    None => return,
+                }
             };
-            let input = Arc::new(BatchInput {
-                timestamps: timestamps.to_vec(),
-                values: values.to_vec(),
+            // A worker's panic is re-raised here once every thread is
+            // joined.
+            std::thread::scope(|s| {
+                for _ in 1..self.threads {
+                    s.spawn(work);
+                }
+                work();
             });
-            let n_jobs = self.shards.len();
-            for shard in self.shards.drain(..) {
-                pool.job_tx
-                    .send(Job {
-                        shard,
-                        input: Arc::clone(&input),
-                    })
-                    .expect("extraction pool is gone");
-            }
-            // Shards come back in completion order; output assembly goes
-            // through each unit's columns, so order cannot matter.
-            for _ in 0..n_jobs {
-                match pool.done_rx.recv().expect("extraction worker died") {
-                    Done::Ok(shard) => self.shards.push(shard),
-                    Done::Panicked => panic!("extraction worker panicked"),
-                }
-            }
         }
 
-        let batch = &mut self.batch;
-        for shard in &self.shards {
-            let mut offset = 0;
-            for unit in &shard.units {
-                let k = unit.inner.columns.len();
-                let block = &shard.out[offset * n..(offset + k) * n];
-                for i in 0..n {
-                    for (j, &c) in unit.inner.columns.iter().enumerate() {
-                        batch[i * m + c] = block[i * k + j];
-                    }
+        for unit in &self.units {
+            let k = unit.inner.columns.len();
+            for (i, row) in self.batch.chunks_exact_mut(m).enumerate() {
+                for (j, &c) in unit.inner.columns.iter().enumerate() {
+                    row[c] = unit.out[i * k + j];
                 }
-                offset += k;
             }
-        }
-
-        self.points_since_rebalance += n as u64;
-        if self.points_since_rebalance >= REBALANCE_POINTS {
-            self.rebalance_now();
         }
         &self.batch
     }
@@ -730,21 +559,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_extraction_matches_streaming_across_rebalances() {
+    fn batched_extraction_matches_streaming_across_uneven_chunks() {
         let s = toy_series(24 * 8);
         let timestamps: Vec<i64> = s.iter().map(|(ts, _)| ts).collect();
         let values: Vec<Option<f64>> = s.iter().map(|(_, v)| v).collect();
         let mut streaming = OnlineExtractor::new(s.interval());
         let mut batched = OnlineExtractor::new(s.interval());
         let m = batched.n_features();
-        // Uneven chunks with a forced rebalance in the middle.
+        // Uneven chunks: one point (inline path), then 5 to 41 points
+        // (split across threads).
         let mut start = 0;
         let mut chunk = 1;
         while start < timestamps.len() {
             let end = (start + chunk).min(timestamps.len());
-            if start > timestamps.len() / 2 {
-                batched.rebalance_now();
-            }
             let rows = batched
                 .observe_batch(&timestamps[start..end], &values[start..end])
                 .to_vec();
@@ -761,6 +588,52 @@ mod tests {
             start = end;
             chunk = chunk % 37 + 5;
         }
+    }
+
+    /// A detector that panics once it has seen `fuse` points.
+    #[derive(Clone)]
+    struct Tripwire {
+        seen: usize,
+        fuse: usize,
+    }
+
+    impl opprentice_detectors::Detector for Tripwire {
+        fn observe(&mut self, _timestamp: i64, value: Option<f64>) -> Option<f64> {
+            self.seen += 1;
+            assert!(self.seen < self.fuse, "tripwire detector fired");
+            value
+        }
+
+        fn clone_box(&self) -> Box<dyn opprentice_detectors::Detector> {
+            Box::new(self.clone())
+        }
+
+        fn name(&self) -> &'static str {
+            "tripwire"
+        }
+
+        fn config(&self) -> String {
+            format!("fuse={}", self.fuse)
+        }
+    }
+
+    #[test]
+    fn a_panicking_detector_panics_the_batch_caller_instead_of_hanging() {
+        let mut configs = registry(3600);
+        let group = configs.iter().map(|c| c.group).max().unwrap() + 1;
+        configs.push(ConfiguredDetector {
+            index: configs.len(),
+            group,
+            spec: opprentice_detectors::registry::DetectorSpec::Opaque,
+            detector: Box::new(Tripwire { seen: 0, fuse: 40 }),
+        });
+        let mut ex = OnlineExtractor::with_configs(configs);
+        let timestamps: Vec<i64> = (0..64).map(|i| i * 3600).collect();
+        let values = vec![Some(1.0); 64];
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ex.observe_batch(&timestamps, &values).len()
+        }));
+        assert!(outcome.is_err(), "the batch must fail, not return");
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl Opprentice {
     ///
     /// This is the *caller-experienced* latency of extraction calls: under
     /// the fused batch path the family kernels run concurrently on the
-    /// worker pool, so this is less than the summed kernel time. Per-family
+    /// batch's threads, so this is less than the summed kernel time. Per-family
     /// CPU attribution lives in [`Opprentice::family_stats`].
     pub fn extract_us(&self) -> u64 {
         self.extract_ns / 1_000
@@ -379,8 +379,8 @@ impl Opprentice {
     /// Feeds a run of consecutive points starting at `start` (each
     /// subsequent point one interval later); returns one verdict slot per
     /// point. Verdicts are bit-identical to calling [`Opprentice::observe`]
-    /// once per point — the batch path only shards the 133 detector
-    /// configurations across a worker pool.
+    /// once per point — the batch path only spreads the 133 detector
+    /// configurations' fused units across threads.
     pub fn observe_batch(&mut self, start: i64, values: &[Option<f64>]) -> Vec<Option<Detection>> {
         let m = self.extractor.n_features();
         let step = i64::from(self.interval);

@@ -1005,18 +1005,14 @@ impl FamilyKernel for FusedHoltWinters {
 // Planning
 // --------------------------------------------------------------------------
 
-/// A schedulable unit of extraction work: one kernel plus the feature
-/// columns it produces, in kernel lane order.
+/// A unit of extraction work: one kernel plus the feature columns it
+/// produces, in kernel lane order. The extraction layer runs a unit on one
+/// thread at a time; a batch's threads pull units from a shared queue.
 pub struct FusedUnit {
     /// The kernel advancing this unit's configurations.
     pub kernel: Box<dyn FamilyKernel>,
     /// Output column (the configuration's `index`) of each lane.
     pub columns: Vec<usize>,
-    /// Estimated cost in ns/point for the whole unit, seeded from the
-    /// measured per-configuration table in `seed_cost_ns`. The
-    /// extraction layer's cost-balanced shard planner starts from this and
-    /// replaces it with live measurements.
-    pub seed_cost_ns: f64,
 }
 
 /// Which fused kernel (if any) a spec belongs to, plus the sampling
@@ -1048,49 +1044,9 @@ fn fuse_key(spec: &DetectorSpec) -> Option<FuseKey> {
     }
 }
 
-/// Seed cost estimate in ns/point for one configuration. Measured by
-/// timing each family's fused units alone (plain and robust TSD and
-/// historical lanes apart) over the PV and #SR presets at a 5-minute
-/// interval, best of 3 passes, divided by the family's configuration count
-/// and averaged over the two KPIs (2-vCPU Intel Xeon VM). Only *relative*
-/// magnitudes matter — the shard planner rebalances from live measurements
-/// after its first few thousand points — so coarse numbers are fine.
-fn seed_cost_ns(cfg: &ConfiguredDetector) -> f64 {
-    match cfg.spec {
-        DetectorSpec::SimpleThreshold => 10.0,
-        DetectorSpec::Diff { .. } => 7.0,
-        DetectorSpec::SimpleMa { .. } => 8.0,
-        DetectorSpec::WeightedMa { .. } => 78.0,
-        DetectorSpec::MaOfDiff { .. } => 3.5,
-        DetectorSpec::Ewma { .. } => 3.5,
-        DetectorSpec::Tsd { robust, .. } => {
-            if robust {
-                270.0
-            } else {
-                87.0
-            }
-        }
-        DetectorSpec::Historical { robust, .. } => {
-            if robust {
-                185.0
-            } else {
-                52.0
-            }
-        }
-        DetectorSpec::HoltWinters { .. } => 4.0,
-        DetectorSpec::Opaque => match cfg.detector.name() {
-            "SVD" => 166.0,
-            "wavelet" => 207.0,
-            "ARIMA" => 530.0,
-            _ => 100.0,
-        },
-    }
-}
-
 /// Builds one kernel from a run of same-key configurations.
 fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
     let columns: Vec<usize> = run.iter().map(|c| c.index).collect();
-    let seed_cost_ns = run.iter().map(seed_cost_ns).sum();
     let kernel: Box<dyn FamilyKernel> = match key {
         None => Box::new(ScalarKernel::new(run)),
         Some(FuseKey::Diff(interval)) => {
@@ -1149,11 +1105,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
             Box::new(FusedHoltWinters::new(&params, interval))
         }
     };
-    FusedUnit {
-        kernel,
-        columns,
-        seed_cost_ns,
-    }
+    FusedUnit { kernel, columns }
 }
 
 fn spec_wins(run: &[ConfiguredDetector]) -> Vec<usize> {
@@ -1281,7 +1233,6 @@ mod tests {
         assert_eq!(sizes.iter().filter(|s| *s == &("wavelet", 3)).count(), 3);
         assert!(sizes.contains(&("ARIMA", 1)));
         assert!(sizes.contains(&("simple threshold", 1)));
-        assert!(units.iter().all(|u| u.seed_cost_ns > 0.0));
     }
 
     #[test]

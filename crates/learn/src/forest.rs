@@ -198,7 +198,7 @@ impl RandomForest {
 impl Classifier for RandomForest {
     fn fit(&mut self, data: &Dataset) {
         // Honour the process-wide OPPRENTICE_THREADS budget — the same
-        // knob the extraction worker pool uses. Tree construction is
+        // knob batched extraction uses. Tree construction is
         // bit-identical for any thread count (per-tree seeding).
         self.fit_with_threads(data, opprentice_numeric::parallel::configured_threads());
     }

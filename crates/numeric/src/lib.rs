@@ -10,7 +10,7 @@
 //!   the allocation-free extraction hot path,
 //! * [`matrix`] — a small dense matrix with linear solves,
 //! * [`parallel`] — the process-wide `OPPRENTICE_THREADS` thread budget
-//!   shared by every parallel site (extraction pool, forest training),
+//!   shared by every parallel site (batched extraction, forest training),
 //! * [`svd`] — one-sided Jacobi singular value decomposition,
 //! * [`wavelet`] — Haar multiresolution analysis with band reconstruction,
 //! * [`acf`] — autocorrelation, Durbin–Levinson PACF and Yule–Walker AR fits,
@@ -18,12 +18,7 @@
 //!   selection (the paper's "estimate their best parameters from the data",
 //!   §4.3.3),
 //! * [`smoothing`] — EWMA and additive Holt–Winters triple exponential
-//!   smoothing,
-//! * [`decompose`] — classical seasonal decomposition of a trailing window
-//!   (the paper's TSD detector substrate), with a median/MAD robust variant,
-//! * [`stl`] — Seasonal-Trend decomposition using Loess (Cleveland et al.),
-//!   the canonical robust batch decomposition, for offline analysis and as
-//!   a cross-check of the classical variant.
+//!   smoothing.
 //!
 //! Everything is deterministic, allocation-conscious and documented; no
 //! `unsafe`, no external math dependencies.
@@ -36,12 +31,10 @@
 
 pub mod acf;
 pub mod arima;
-pub mod decompose;
 pub mod matrix;
 pub mod parallel;
 pub mod rolling;
 pub mod smoothing;
 pub mod stats;
-pub mod stl;
 pub mod svd;
 pub mod wavelet;

@@ -1,6 +1,6 @@
 //! The single thread-count knob shared by every parallel site.
 //!
-//! Both the extraction worker pool (`opprentice::features`) and the random
+//! Both batched feature extraction (`opprentice::features`) and the random
 //! forest trainer resolve their parallelism through
 //! [`configured_threads`], so one environment variable —
 //! `OPPRENTICE_THREADS` — controls the whole process. Parallelism is a

@@ -647,11 +647,10 @@ impl Server {
                 break;
             }
             match conn {
-                Ok(mut stream) => {
+                Ok(stream) => {
                     workers.lock().retain(|h| !h.is_finished());
                     if active.load(Ordering::SeqCst) >= ctx.config.max_connections {
-                        let _ = stream.write_all(b"ERR busy\n");
-                        let _ = stream.shutdown(Shutdown::Both);
+                        workers.lock().push(shed(stream));
                         continue;
                     }
                     active.fetch_add(1, Ordering::SeqCst);
@@ -672,6 +671,39 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// How long a shed connection may take to deliver its first line.
+const SHED_DRAIN: Duration = Duration::from_millis(500);
+
+/// Turns a connection away with `ERR busy`.
+///
+/// Closing at once would race the client's first command: a socket closed
+/// with unread input answers with an RST, and the RST discards the queued
+/// reply on the client's side. So the write side is half-closed (the reply
+/// goes out followed by FIN), and the client's first line is read and
+/// dropped, for at most [`SHED_DRAIN`], on a short-lived thread so the
+/// accept loop never waits on it. Only then does the socket close. The
+/// thread is joined with the connection threads.
+fn shed(mut stream: TcpStream) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let _ = stream.write_all(b"ERR busy\n");
+        if stream.shutdown(Shutdown::Write).is_err() {
+            return;
+        }
+        let deadline = Instant::now() + SHED_DRAIN;
+        let mut buf = [0u8; 512];
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                return;
+            }
+            match stream.read(&mut buf) {
+                Ok(n) if n > 0 && !buf[..n].contains(&b'\n') => continue,
+                _ => return,
+            }
+        }
+    })
 }
 
 /// Decrements the live-connection count when a worker exits by any path
@@ -904,8 +936,8 @@ mod tests {
     /// STATUS exposes the session's cumulative extraction and inference
     /// wall-clock, so operators can see where serving time goes. Under
     /// the fused batch path the family kernels run concurrently on the
-    /// extraction pool: the counter must report the *caller-experienced*
-    /// latency of the batch call, never the summed per-worker CPU time —
+    /// batch's threads: the counter must report the *caller-experienced*
+    /// latency of the batch call, never the summed per-thread CPU time —
     /// so it advances monotonically but stays bounded by session
     /// wall-clock.
     #[test]
@@ -940,8 +972,8 @@ mod tests {
         let after_obs = counter(&status, "extract_us=");
         assert!(after_obs > 0, "{status}");
 
-        // Batches large enough to take the worker-pool path (with several
-        // shards extracting concurrently).
+        // Batches large enough to be split across threads (several units
+        // extracting concurrently on a multi-core host).
         for round in 0..4 {
             let batch: Vec<String> = (0..64).map(|i| format!("{}.0", 100 + i % 5)).collect();
             assert!(c
@@ -955,7 +987,7 @@ mod tests {
         let status = c.send("STATUS");
         let after_obsb = counter(&status, "extract_us=");
         assert!(after_obsb > after_obs, "{status}");
-        // The no-double-counting bound: with N pool workers extracting in
+        // The no-double-counting bound: with N threads extracting in
         // parallel, summed kernel time could be ~N x wall-clock; the
         // counter reports wall-clock, so it can never exceed the time the
         // whole session has existed.
@@ -963,7 +995,7 @@ mod tests {
         assert!(
             after_obsb <= session_us,
             "extract_us={after_obsb} exceeds session wall-clock {session_us}us \
-             (per-worker time double-counted?)"
+             (per-thread time double-counted?)"
         );
 
         c.send("QUIT");

@@ -77,7 +77,7 @@ proptest! {
         }
 
         // Random chunking, including size-1 (inline path) and large
-        // chunks (worker-pool path).
+        // chunks (split across per-batch threads).
         let mut state = chunk_seed | 1;
         let mut i = 0usize;
         while i < values.len() {

@@ -6,8 +6,10 @@
 //!   inputs (normalized to missing at the serving boundary);
 //! - a kernel cloned mid-stream continues bit-identically to the original
 //!   (snapshot/restore path);
-//! - cost-model shard rebalancing mid-stream never changes a single
-//!   output bit (placement is pure scheduling);
+//! - which thread runs which unit never changes a single output bit:
+//!   random chunking mixes the inline path (1–3 points) with the threaded
+//!   path (4 or more), and self-scheduled units change threads between
+//!   batches;
 //! - the scalar fallback path (extension registry: Opaque specs) fuses
 //!   correctly too.
 //!
@@ -83,9 +85,10 @@ fn scalar_rows(values: &[Option<f64>]) -> Vec<Vec<Option<u64>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// THE fusion contract: the fused engine, fed in random chunks with a
-    /// cost-model rebalance forced mid-stream, reproduces the scalar
-    /// registry's severities bit for bit over all 133 configurations.
+    /// THE fusion contract: the fused engine, fed in random chunks of 1–37
+    /// points (inline and threaded batches, units moving between threads),
+    /// reproduces the scalar registry's severities bit for bit over all
+    /// 133 configurations.
     #[test]
     fn fused_extraction_is_bit_identical_to_scalar_registry(
         values in series_strategy(),
@@ -98,19 +101,12 @@ proptest! {
 
         let mut state = chunk_seed | 1;
         let mut i = 0usize;
-        let mut rebalanced = false;
         while i < values.len() {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             let n = 1 + (state % 37) as usize;
             let end = (i + n).min(values.len());
-            if !rebalanced && i > values.len() / 2 {
-                // Re-pack units onto different shards mid-stream; outputs
-                // must not move by a bit.
-                fused.rebalance_now();
-                rebalanced = true;
-            }
             let timestamps: Vec<i64> =
                 (i..end).map(|j| j as i64 * i64::from(INTERVAL)).collect();
             let rows = fused.observe_batch(&timestamps, &values[i..end]);
@@ -190,7 +186,7 @@ fn extension_registry_matches_scalar_oracle() {
         .map(|i| i as i64 * i64::from(INTERVAL))
         .collect();
 
-    // One big batch through the pool, checked row by row.
+    // One big batch across threads, checked row by row.
     let rows = fused.observe_batch(&timestamps, &values).to_vec();
     for (i, v) in values.iter().enumerate() {
         for (c, cfg) in oracle.iter_mut().enumerate() {
