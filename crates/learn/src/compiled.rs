@@ -22,7 +22,15 @@
 //!
 //! Trees are laid out breadth-first, so the top of every tree — the nodes
 //! every single prediction touches — sits in a few consecutive cache
-//! lines. Predictions are bit-identical to the tree-walk path: the same
+//! lines.
+//!
+//! Prediction descends the trees in lockstep, eight at a time: one cursor
+//! per tree, and each step advances every cursor that has not reached a
+//! leaf. A single root-to-leaf walk is a chain of dependent loads, so
+//! walking the trees one after another pays each cache miss in turn;
+//! eight independent chains let the misses overlap.
+//!
+//! Predictions are bit-identical to the tree-walk path: the same
 //! `x < threshold` comparison picks the same child, the same leaf
 //! probabilities accumulate in the same tree order, and the same division
 //! produces the same `f64`.
@@ -32,6 +40,10 @@ use crate::tree::Node;
 
 /// Sentinel in [`PackedNode::feature`] marking a leaf slot.
 const LEAF: u32 = u32::MAX;
+
+/// Trees descended side by side by [`CompiledForest::predict`]. 4 and 16
+/// lanes measured slower on 50-tree serving forests.
+const LANES: usize = 8;
 
 /// One flattened node: 16 bytes, so a 64-byte cache line holds four.
 /// Equality compares thresholds as `f64` values (always finite here) — used
@@ -46,6 +58,14 @@ struct PackedNode {
     /// Split threshold; leaf probability for leaf slots.
     threshold: f64,
 }
+
+/// A zero-probability leaf: the filler for reserved arena slots and for
+/// idle descent lanes.
+const EMPTY_LEAF: PackedNode = PackedNode {
+    feature: LEAF,
+    first_child: 0,
+    threshold: 0.0,
+};
 
 /// A trained [`RandomForest`] flattened for fast inference.
 ///
@@ -119,14 +139,7 @@ impl CompiledForest {
     /// Reserves `n` zeroed adjacent slots, returning the first index.
     fn alloc(&mut self, n: usize) -> u32 {
         let at = self.nodes.len() as u32;
-        self.nodes.resize(
-            self.nodes.len() + n,
-            PackedNode {
-                feature: LEAF,
-                first_child: 0,
-                threshold: 0.0,
-            },
-        );
+        self.nodes.resize(self.nodes.len() + n, EMPTY_LEAF);
         at
     }
 
@@ -140,30 +153,44 @@ impl CompiledForest {
         self.nodes.len()
     }
 
-    /// Walks one tree to its leaf probability.
+    /// Descends up to [`LANES`] trees in lockstep and returns their leaf
+    /// probabilities in tree order (unused lanes read 0.0).
     // The negated comparison is deliberate: it is the exact complement the
     // tree-walk branch takes, including for NaN (see below).
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     #[inline]
-    fn leaf_prob(&self, root: u32, features: &[f64]) -> f64 {
-        let mut node = self.nodes[root as usize];
-        while node.feature != LEAF {
-            // `!(x < t)` rather than `x >= t` so NaN features take the same
-            // (right) branch the tree-walk `if x < t { left } else { right }`
-            // takes — bit-identical on *any* input, not just finite ones.
-            let right = !(features[node.feature as usize] < node.threshold) as u32;
-            node = self.nodes[(node.first_child + right) as usize];
+    fn descend(&self, roots: &[u32], features: &[f64]) -> [f64; LANES] {
+        let mut cursors = [EMPTY_LEAF; LANES];
+        for (cursor, &root) in cursors.iter_mut().zip(roots) {
+            *cursor = self.nodes[root as usize];
         }
-        node.threshold
+        loop {
+            let mut descending = false;
+            for cursor in &mut cursors {
+                if cursor.feature != LEAF {
+                    // `!(x < t)` rather than `x >= t` so NaN features take
+                    // the same (right) branch the tree-walk
+                    // `if x < t { left } else { right }` takes — bit-identical
+                    // on *any* input, not just finite ones.
+                    let right = !(features[cursor.feature as usize] < cursor.threshold) as u32;
+                    *cursor = self.nodes[(cursor.first_child + right) as usize];
+                    descending = true;
+                }
+            }
+            if !descending {
+                return cursors.map(|leaf| leaf.threshold);
+            }
+        }
     }
 
     /// Anomaly probability of one sample — bit-identical to
-    /// [`RandomForest::predict_proba`] on the source forest.
+    /// [`RandomForest::predict_proba`] on the source forest: the same leaf
+    /// probabilities are summed in the same tree order.
     pub fn predict(&self, features: &[f64]) -> f64 {
         let total: f64 = self
             .roots
-            .iter()
-            .map(|&root| self.leaf_prob(root, features))
+            .chunks(LANES)
+            .flat_map(|chunk| self.descend(chunk, features).into_iter().take(chunk.len()))
             .sum();
         total / self.roots.len() as f64
     }

@@ -129,21 +129,33 @@ proptest! {
 
     /// The serving-path differential guarantee: a compiled forest produces
     /// bit-identical probabilities to the tree-walk path over random
-    /// datasets, seeds and probes — single-row and batched alike.
+    /// datasets, seeds and probes — single-row and batched alike. Forests
+    /// of 1–40 trees cover partial and several full 8-tree lockstep
+    /// chunks; probes carry NaN features; constant labels grow trees that
+    /// are single leaves.
     #[test]
     fn compiled_forest_matches_tree_walk(
         rows in prop::collection::vec(
             (0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 30..120),
         probes in prop::collection::vec(
-            prop::collection::vec(-50.0f64..50.0, 3..=3), 1..40),
-        n_trees in 1usize..12,
+            prop::collection::vec(prop::option::of(-50.0f64..50.0), 3..=3), 1..40),
+        n_trees in 1usize..=40,
         seed in any::<u64>(),
         exact in any::<bool>(),
+        labels in prop::sample::select(vec!["split", "all normal", "all anomalous"]),
     ) {
         let mut d = Dataset::new(3);
         for (a, b, c) in &rows {
-            d.push(&[*a, *b, *c], a + b > 10.0);
+            let label = match labels {
+                "split" => a + b > 10.0,
+                constant => constant == "all anomalous",
+            };
+            d.push(&[*a, *b, *c], label);
         }
+        let probes: Vec<Vec<f64>> = probes
+            .iter()
+            .map(|p| p.iter().map(|v| v.unwrap_or(f64::NAN)).collect())
+            .collect();
         let mut f = RandomForest::new(RandomForestParams {
             n_trees,
             seed,
@@ -152,6 +164,9 @@ proptest! {
         });
         f.fit(&d);
         let compiled = f.compile();
+        if labels != "split" {
+            prop_assert_eq!(compiled.node_count(), n_trees);
+        }
         for p in &probes {
             let walk = f.predict_proba(p);
             let fast = compiled.predict(p);

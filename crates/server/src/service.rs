@@ -54,8 +54,6 @@ pub struct ServerConfig {
     /// Connections beyond this are answered `ERR busy` and closed
     /// immediately instead of degrading everyone.
     pub max_connections: usize,
-    /// Snapshot a durable session every N applied commands.
-    pub snapshot_every: u64,
     /// Test hook: accept a `PANIC` verb that panics inside the command
     /// handler, to exercise panic isolation from the outside. Never enable
     /// in production.
@@ -72,7 +70,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(300),
             max_line_len: 1 << 20,
             max_connections: 256,
-            snapshot_every: 256,
             enable_panic_verb: false,
         }
     }
@@ -290,15 +287,24 @@ fn is_durable_command(request: &Request) -> bool {
 
 /// Polls the session's background trainer; when a new model just landed,
 /// makes the swap durable (logs `RETRAIN` at the swap position — see
-/// [`is_durable_command`]) and returns the completion event line to write
-/// to the client ahead of the next reply.
+/// [`is_durable_command`] — then snapshots) and returns the completion
+/// event line to write to the client ahead of the next reply.
+///
+/// Snapshotting here, and only here and at a clean close, means no logged
+/// `RETRAIN` ever sits past the latest snapshot: recovery never re-runs a
+/// training job, and `OBS` traffic between retrains writes no snapshots.
 fn harvest_training(session: &mut Session, durable: &mut Option<DurableSession>) -> Option<String> {
     let report = session.poll_training()?;
-    if let Some(d) = durable.as_mut() {
-        // An append failure leaves the swap volatile — recovery would land
-        // on the old model — but the live session serves the new one
-        // either way, and the next snapshot captures it durably.
-        let _ = d.append("RETRAIN");
+    if let (Some(d), Some(p)) = (durable.as_mut(), session.pipeline_mut()) {
+        // Either failure is logged, not fatal: the live session serves the
+        // new model regardless. A failed append alone is covered by the
+        // snapshot, which records the swapped-in model at this position.
+        if let Err(e) = d.append("RETRAIN") {
+            log_store_error("wal_append_failed", d, &e);
+        }
+        if let Err(e) = d.snapshot(p) {
+            log_store_error("snapshot_failed", d, &e);
+        }
     }
     Some(format!(
         "EVENT retrained job={} model_version={} cthld={:.3} train_us={}",
@@ -306,8 +312,14 @@ fn harvest_training(session: &mut Session, durable: &mut Option<DurableSession>)
     ))
 }
 
-/// Parses and applies one trimmed, non-empty line; maintains the WAL and
-/// periodic snapshots for durable sessions. Runs inside `catch_unwind`.
+/// One structured stderr line for a durable-state write that failed but
+/// did not fail the request (the session keeps serving from memory).
+fn log_store_error(event: &str, d: &DurableSession, err: &std::io::Error) {
+    eprintln!("event={event} session={} err={err}", d.id());
+}
+
+/// Parses and applies one trimmed, non-empty line; maintains the WAL for
+/// durable sessions. Runs inside `catch_unwind`.
 fn apply_line(
     trimmed: &str,
     session: &mut Session,
@@ -405,13 +417,6 @@ fn apply_line(
             };
             if let Err(e) = appended {
                 return Response::Err(format!("session store I/O: {e}"));
-            }
-            if d.since_snapshot() >= ctx.config.snapshot_every {
-                if let Some(p) = session.pipeline_mut() {
-                    // Snapshot failure is non-fatal: the WAL alone is
-                    // sufficient for recovery, just slower.
-                    let _ = d.snapshot(p);
-                }
             }
         }
     }
@@ -555,9 +560,13 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
     if !poisoned {
         if let Some(d) = durable.as_mut() {
             if let Some(p) = session.pipeline_mut() {
-                let _ = d.snapshot(p);
+                if let Err(e) = d.snapshot(p) {
+                    log_store_error("snapshot_failed", d, &e);
+                }
             }
-            let _ = d.sync();
+            if let Err(e) = d.sync() {
+                log_store_error("wal_sync_failed", d, &e);
+            }
         }
     }
     let _ = writer.shutdown(Shutdown::Both);
@@ -743,9 +752,10 @@ mod tests {
         }
 
         fn send(&mut self, line: &str) -> String {
-            self.writer.write_all(line.as_bytes()).unwrap();
-            self.writer.write_all(b"\n").unwrap();
-            self.writer.flush().unwrap();
+            // One write per line: two would meet Nagle plus delayed ACK.
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .unwrap();
             self.read_line()
         }
 
@@ -1173,5 +1183,103 @@ mod tests {
         c.send("QUIT");
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    /// The trained state is snapshotted at the swap and only there (plus a
+    /// clean close). A kill right after `EVENT retrained` resumes through
+    /// that snapshot, which covers every logged `RETRAIN` (none is
+    /// replayed), with `model_version` intact; hundreds of `OBS` lines
+    /// afterwards write no snapshot.
+    #[test]
+    fn retrain_swap_is_snapshotted_and_obs_traffic_is_not() {
+        let state_dir = std::env::temp_dir().join(format!(
+            "opprentice-swap-snapshot-test-{}",
+            std::process::id()
+        ));
+        let (handle, join) = start_server(ServerConfig {
+            state_dir: Some(state_dir.clone()),
+            enable_panic_verb: true,
+            ..test_config()
+        });
+        let dir = state_dir.join("swap");
+        // (snapshot bytes, commands the snapshot covers, WAL commands,
+        // WAL positions of `RETRAIN` lines)
+        let on_disk = || {
+            let snap = std::fs::read(dir.join("snapshot.oprf")).expect("snapshot");
+            let covered = opprentice::snapshot::SessionSnapshot::from_bytes(&snap)
+                .unwrap()
+                .wal_seq as usize;
+            let wal = std::fs::read_to_string(dir.join("wal.log")).unwrap();
+            let commands: Vec<&str> = wal.lines().skip(1).collect();
+            let retrains: Vec<usize> = (0..commands.len())
+                .filter(|&i| commands[i] == "RETRAIN")
+                .collect();
+            (snap, covered, commands.len(), retrains)
+        };
+        // A panicking handler poisons the session: no clean-close snapshot.
+        let crash_and_resume = |c: &mut Client| {
+            assert_eq!(c.send("PANIC"), "ERR internal error");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let mut next = Client::connect(handle.addr());
+                let reply = next.send("RESUME swap");
+                if reply.starts_with("OK resumed") {
+                    assert!(reply.contains(" model_version=1 "), "{reply}");
+                    return next;
+                }
+                assert!(Instant::now() < deadline, "never resumed: {reply}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        };
+
+        let mut c = Client::connect(handle.addr());
+        assert!(c.send("HELLO 3600 swap").starts_with("OK"));
+        let n = 21 * 24;
+        let mut flags = String::with_capacity(n);
+        for i in 0..n {
+            let base = 100.0 + 20.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin();
+            let anomalous = i % 63 == 50 || i % 63 == 51;
+            let v = if anomalous { base + 150.0 } else { base };
+            assert!(c.send(&format!("OBS {} {v}", i * 3600)).starts_with("OK"));
+            flags.push(if anomalous { '1' } else { '0' });
+        }
+        assert!(
+            !dir.join("snapshot.oprf").exists(),
+            "snapshot before any swap"
+        );
+        assert!(c.send(&format!("LABEL {flags}")).starts_with("OK"));
+        retrain_and_wait(&mut c);
+        assert_eq!(c.events.len(), 1, "{:?}", c.events);
+
+        let (swap_snap, covered, logged, retrains) = on_disk();
+        assert_eq!(retrains.len(), 1);
+        assert!(
+            retrains.iter().all(|&i| i < covered),
+            "{retrains:?} vs {covered}"
+        );
+        assert_eq!(covered, logged);
+
+        let mut c = crash_and_resume(&mut c);
+        for i in n..n + 300 {
+            assert!(c.send(&format!("OBS {} 101.0", i * 3600)).starts_with("OK"));
+        }
+        let (snap, covered, logged, retrains) = on_disk();
+        assert!(snap == swap_snap, "OBS traffic rewrote the snapshot");
+        assert!(retrains.iter().all(|&i| i < covered));
+        assert_eq!(logged, covered + 300);
+
+        let mut c = crash_and_resume(&mut c);
+        assert_eq!(c.send("QUIT"), "BYE");
+        // The clean close snapshots the whole log.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while on_disk().0 == swap_snap {
+            assert!(Instant::now() < deadline, "no clean-close snapshot");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (_, covered, logged, _) = on_disk();
+        assert_eq!(covered, logged);
+        handle.shutdown();
+        join.join().unwrap();
+        std::fs::remove_dir_all(state_dir).unwrap();
     }
 }

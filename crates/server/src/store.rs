@@ -22,12 +22,22 @@
 //! happened) and a crash after the swap recovers to the new one — never a
 //! torn in-between.
 //!
+//! A crash can cut the last line short. Recovery drops a final record
+//! with no trailing `\n` — it was never acknowledged — and truncates the
+//! file back to the last complete line before appending again, so a torn
+//! `OBS 3600 105` (cut from `105.25`) is neither replayed with the wrong
+//! value nor glued to the next record.
+//!
 //! **Snapshots.** Replaying `OBS` lines is cheap (feature extraction);
 //! replaying `RETRAIN` lines is the expensive part. A snapshot therefore
 //! captures the trained state (forest + EWMA prediction + labels) plus the
-//! WAL sequence number it corresponds to. Snapshots are written to a temp
-//! file, fsynced, and atomically renamed — a crash mid-snapshot leaves the
-//! previous snapshot intact.
+//! WAL sequence number it corresponds to. The server writes one right
+//! after each logged `RETRAIN` and one at a clean close — never on a
+//! command cadence, since `OBS` traffic leaves the trained state alone —
+//! so no `RETRAIN` ever sits past the latest snapshot. Snapshots are
+//! written to a temp file, fsynced, atomically renamed, and the rename is
+//! made durable by fsyncing the directory — a crash mid-snapshot leaves
+//! the previous snapshot intact.
 //!
 //! **Recovery** (see [`recover`]): replay the WAL prefix covered by the
 //! snapshot with `RETRAIN` skipped, install the snapshot's trained state,
@@ -147,7 +157,6 @@ impl SessionStore {
             dir,
             wal,
             wal_seq: 0,
-            last_snapshot_seq: 0,
             lease,
         })
     }
@@ -165,19 +174,22 @@ impl SessionStore {
             return Err(StoreError::UnknownSession);
         }
 
-        let (n_trees, lines) = read_wal(&dir.join(WAL_FILE))?;
+        let wal_path = dir.join(WAL_FILE);
+        let (n_trees, lines, complete_len) = read_wal(&wal_path)?;
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
         let session = recover(n_trees, &lines, snapshot.as_ref())?;
 
-        let wal = BufWriter::new(OpenOptions::new().append(true).open(dir.join(WAL_FILE))?);
-        let wal_seq = lines.len() as u64;
-        let last_snapshot_seq = snapshot.as_ref().map_or(0, |s| s.wal_seq);
+        let file = OpenOptions::new().append(true).open(&wal_path)?;
+        if file.metadata()?.len() > complete_len {
+            // Cut the torn tail off so the next append starts a new line.
+            file.set_len(complete_len)?;
+            file.sync_all()?;
+        }
         Ok((
             DurableSession {
                 dir,
-                wal,
-                wal_seq,
-                last_snapshot_seq,
+                wal: BufWriter::new(file),
+                wal_seq: lines.len() as u64,
                 lease,
             },
             session,
@@ -202,18 +214,22 @@ impl Drop for SessionLease {
     }
 }
 
-/// One connection's handle on its durable state: the open WAL plus
-/// snapshot bookkeeping.
+/// One connection's handle on its durable state: the open WAL plus the
+/// count of commands it holds.
 pub struct DurableSession {
     dir: PathBuf,
     wal: BufWriter<File>,
     wal_seq: u64,
-    last_snapshot_seq: u64,
-    #[allow(dead_code)] // held for its Drop (releases the live-ownership claim)
+    /// Held for its Drop (releases the live-ownership claim).
     lease: SessionLease,
 }
 
 impl DurableSession {
+    /// The session id (its directory name).
+    pub fn id(&self) -> &str {
+        &self.lease.id
+    }
+
     /// Appends one applied command line to the WAL and flushes it to the
     /// OS, so it survives a process crash. Call after applying the command
     /// and before acknowledging it.
@@ -245,12 +261,8 @@ impl DurableSession {
         Ok(())
     }
 
-    /// Commands applied since the last snapshot.
-    pub fn since_snapshot(&self) -> u64 {
-        self.wal_seq - self.last_snapshot_seq
-    }
-
-    /// Writes a full-state snapshot atomically (temp file, fsync, rename).
+    /// Writes a full-state snapshot atomically (temp file, fsync, rename,
+    /// then fsync the directory so the rename itself survives a crash).
     pub fn snapshot(&mut self, opp: &opprentice::Opprentice) -> std::io::Result<()> {
         let snap = SessionSnapshot::capture(opp, self.wal_seq);
         let tmp = self.dir.join(SNAPSHOT_TMP);
@@ -259,8 +271,7 @@ impl DurableSession {
         file.sync_all()?;
         drop(file);
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        self.last_snapshot_seq = self.wal_seq;
-        Ok(())
+        File::open(&self.dir)?.sync_all()
     }
 
     /// Fsyncs the WAL itself (used at clean shutdown).
@@ -270,15 +281,26 @@ impl DurableSession {
     }
 }
 
-/// Reads and validates the WAL: returns the forest size from the meta line
-/// and the applied command lines.
-fn read_wal(path: &Path) -> Result<(usize, Vec<String>), StoreError> {
-    let reader = BufReader::new(File::open(path)?);
+/// Reads and validates the WAL: returns the forest size from the meta line,
+/// the applied command lines, and the byte length of the complete lines.
+/// A final record without its trailing `\n` was torn by a crash mid-write
+/// and is dropped.
+fn read_wal(path: &Path) -> Result<(usize, Vec<String>, u64), StoreError> {
+    let mut reader = BufReader::new(File::open(path)?);
     let mut lines = Vec::new();
     let mut n_trees = None;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if i == 0 {
+    let mut complete = 0u64;
+    let mut record = Vec::new();
+    loop {
+        record.clear();
+        let n = reader.read_until(b'\n', &mut record)?;
+        if record.pop() != Some(b'\n') {
+            break; // end of file, or a torn final record
+        }
+        complete += n as u64;
+        let line = String::from_utf8(std::mem::take(&mut record))
+            .map_err(|_| StoreError::CorruptWal("not UTF-8".to_string()))?;
+        if n_trees.is_none() {
             let rest = line
                 .strip_prefix(WAL_META_PREFIX)
                 .ok_or_else(|| StoreError::CorruptWal("missing meta line".to_string()))?;
@@ -288,13 +310,10 @@ fn read_wal(path: &Path) -> Result<(usize, Vec<String>), StoreError> {
             );
             continue;
         }
-        if line.is_empty() {
-            continue; // torn final line from a crash mid-write
-        }
         lines.push(line);
     }
     let n_trees = n_trees.ok_or_else(|| StoreError::CorruptWal("empty WAL".to_string()))?;
-    Ok((n_trees, lines))
+    Ok((n_trees, lines, complete))
 }
 
 /// Loads the snapshot if one exists.
@@ -478,8 +497,12 @@ mod tests {
         apply_all(&mut live, &mut durable, &extra);
         drop(durable);
 
-        let (d2, mut recovered) = store.resume("kpi-2").unwrap();
-        assert_eq!(d2.since_snapshot(), 48);
+        let (_d2, mut recovered) = store.resume("kpi-2").unwrap();
+        // The snapshot covers everything but the 48 later commands.
+        let dir = root.join("kpi-2");
+        let (_, wal, _) = read_wal(&dir.join(WAL_FILE)).unwrap();
+        let snap = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap().unwrap();
+        assert_eq!(wal.len() as u64 - snap.wal_seq, 48);
         // The snapshot path restores the model version too.
         match recovered.apply(&Request::Status) {
             Response::Ok(s) => assert!(s.contains("model_version=1"), "{s}"),
@@ -517,8 +540,9 @@ mod tests {
                 }
             }))
             .unwrap();
-        assert_eq!(durable.since_snapshot(), lines.len() as u64 + 4);
         drop(durable); // crash
+        let (_, wal, _) = read_wal(&root.join("batched").join(WAL_FILE)).unwrap();
+        assert_eq!(wal.len(), lines.len() + 4);
 
         let (_d2, mut recovered) = store.resume("batched").unwrap();
         let t1 = t0 + 4 * 3600;
@@ -615,6 +639,74 @@ mod tests {
             store.resume("badwal"),
             Err(StoreError::CorruptWal(_))
         ));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    /// A crash mid-append leaves a final record without its `\n`. Cut a
+    /// recorded WAL at every byte inside its last record: `RESUME` must
+    /// equal a replay of the complete prefix, cut the torn bytes off the
+    /// file, and leave a log that takes an append and resumes again.
+    #[test]
+    fn torn_wal_tail_is_dropped_and_truncated() {
+        let root = scratch();
+        let store = SessionStore::open(&root).unwrap();
+        let lines = workload(21 * 24, "whole");
+        let mut durable = store.create("whole", 8).unwrap();
+        let mut live = Session::new(8);
+        apply_all(&mut live, &mut durable, &lines);
+        durable.snapshot(live.pipeline_mut().unwrap()).unwrap();
+        let t0 = (21 * 24) as i64 * 3600;
+        let last = format!("OBS {} 105.25", t0 + 3600);
+        apply_all(
+            &mut live,
+            &mut durable,
+            &[format!("OBS {t0} 101.5"), last.clone()],
+        );
+        drop(durable);
+        let whole = root.join("whole");
+        let wal = std::fs::read(whole.join(WAL_FILE)).unwrap();
+        let snapshot = std::fs::read(whole.join(SNAPSHOT_FILE)).unwrap();
+        let prefix_len = wal.len() - last.len() - 1;
+        let prefix = &wal[..prefix_len];
+
+        // Writes a session directory holding `wal` and the snapshot.
+        let install = |id: &str, wal: &[u8]| {
+            let dir = root.join(id);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(WAL_FILE), wal).unwrap();
+            std::fs::write(dir.join(SNAPSHOT_FILE), &snapshot).unwrap();
+            dir
+        };
+        let observed = |session: &mut Session| -> usize {
+            match session.apply(&Request::Status) {
+                Response::Ok(s) => s["observed=".len()..s.find(' ').unwrap()].parse().unwrap(),
+                other => panic!("{other:?}"),
+            }
+        };
+        install("prefix", prefix);
+        let (_d, mut reference) = store.resume("prefix").unwrap();
+        let expected_observed = observed(&mut reference);
+        let t1 = t0 + 3600;
+        let expected = probe(&mut reference, t1);
+
+        let next = format!("OBS {t1} 99.0\n");
+        for cut in prefix_len + 1..wal.len() {
+            let id = format!("cut-{cut}");
+            let dir = install(&id, &wal[..cut]);
+            let (mut d, mut recovered) = store.resume(&id).unwrap();
+            assert_eq!(observed(&mut recovered), expected_observed, "cut {cut}");
+            assert_eq!(probe(&mut recovered, t1), expected, "cut {cut}");
+            let on_disk = std::fs::read(dir.join(WAL_FILE)).unwrap();
+            assert!(on_disk == prefix, "cut {cut}: torn tail not truncated");
+            // The next record starts on a fresh line, so it replays.
+            d.append(next.trim_end()).unwrap();
+            drop(d);
+            let (_d, mut again) = store.resume(&id).unwrap();
+            assert_eq!(observed(&mut again), expected_observed + 1, "cut {cut}");
+            let appended = [prefix, next.as_bytes()].concat();
+            let on_disk = std::fs::read(dir.join(WAL_FILE)).unwrap();
+            assert!(on_disk == appended, "cut {cut}: append not on its own line");
+        }
         std::fs::remove_dir_all(root).unwrap();
     }
 }
